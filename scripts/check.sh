@@ -1,6 +1,10 @@
 #!/usr/bin/env bash
-# Concurrency + telemetry checks, three gates:
+# Concurrency + telemetry + assertion checks, five gates:
 #
+#   debug       a Debug build (no NDEBUG, so every assert() is live) of
+#               remac_tests running the estimator, sketch, cost-graph,
+#               optimizer and prober suites; every other build is
+#               RelWithDebInfo, where assert() compiles away
 #   tsan        build with -DREMAC_SANITIZE=thread and run the concurrent
 #               suites (pool, ledger, task graph, plan service, metrics
 #               registry) under ThreadSanitizer
@@ -25,8 +29,9 @@
 #               BENCH_dist2d.json)
 #
 # Usage: scripts/check.sh [tsan-build-dir] [asan-build-dir] \
-#                         [bench-build-dir] [ubsan-build-dir]
-#        (defaults: build-tsan build-asan build build-ubsan)
+#                         [bench-build-dir] [ubsan-build-dir] \
+#                         [debug-build-dir]
+#        (defaults: build-tsan build-asan build build-ubsan build-debug)
 #
 # A build dir whose CMake cache was configured with a different
 # REMAC_SANITIZE value is rejected up front — delete it and rerun rather
@@ -39,7 +44,10 @@ TSAN_DIR="${1:-build-tsan}"
 ASAN_DIR="${2:-build-asan}"
 BENCH_DIR="${3:-build}"
 UBSAN_DIR="${4:-build-ubsan}"
+DEBUG_DIR="${5:-build-debug}"
 FILTER='ThreadPool.*:LanePool.*:Ledger.*:TaskGraph.*:Sched*.*:Kernels*.*:Fingerprint*.*:PlanCache*.*:Service*.*:Admission*.*:MatCache*.*:MatrixBytes.*:Obs*.*:Chaos*.*:Fault*.*:Trace*.*:Contention*.*:Fusion*.*'
+
+DEBUG_FILTER='*Sketch*:*Estimator*:Exact.*:Metadata.*:CostGraph*:Optimizer.*:AdaptiveProbe.*:Enumerate.*:Strategies.*'
 
 GATES=()
 RESULTS=()
@@ -83,6 +91,14 @@ sanitizer_gate() {  # sanitizer_gate NAME DIR SANITIZE_VALUE ENV_VAR
   echo "== running concurrent suites under $name =="
   env "$env_var=${!env_var:-halt_on_error=1}" \
     "$dir/tests/remac_tests" --gtest_filter="$FILTER"
+}
+
+debug_gate() {
+  require_cache "$DEBUG_DIR" "" || return 1
+  cmake -B "$DEBUG_DIR" -S . -DCMAKE_BUILD_TYPE=Debug || return 1
+  cmake --build "$DEBUG_DIR" -j --target remac_tests || return 1
+  echo "== running estimator/optimizer suites with assertions on =="
+  "$DEBUG_DIR/tests/remac_tests" --gtest_filter="$DEBUG_FILTER"
 }
 
 bench_smoke_gate() {
@@ -169,6 +185,12 @@ bench_smoke_gate() {
   fi
   "$dbin" --quick --json | tee "$BENCH_DIR/bench_distributed.out"
 }
+
+if debug_gate; then
+  record debug pass
+else
+  record debug fail
+fi
 
 if sanitizer_gate ThreadSanitizer "$TSAN_DIR" thread TSAN_OPTIONS; then
   record tsan pass

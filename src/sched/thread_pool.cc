@@ -205,6 +205,17 @@ bool ThreadPool::PopTask(int preferred, std::function<void()>* out) {
   return false;
 }
 
+void ThreadPool::RunTask(std::function<void()>* task) {
+  // Booked before the body runs: anything the task publishes (a done
+  // flag, a future) is then ordered after its count, so a caller that
+  // observes completion also observes the booking.
+  tasks_executed_.fetch_add(1, std::memory_order_relaxed);
+  Metrics().tasks->Add();
+  if (lane_tasks_ != nullptr) lane_tasks_->Add();
+  (*task)();
+  *task = nullptr;
+}
+
 void ThreadPool::WorkerLoop(int index) {
   tl_pool = this;
   tl_worker_id = index;
@@ -212,11 +223,7 @@ void ThreadPool::WorkerLoop(int index) {
   std::function<void()> task;
   while (true) {
     if (PopTask(index, &task)) {
-      task();
-      task = nullptr;
-      tasks_executed_.fetch_add(1, std::memory_order_relaxed);
-      Metrics().tasks->Add();
-      if (lane_tasks_ != nullptr) lane_tasks_->Add();
+      RunTask(&task);
       continue;
     }
     if (stop_.load(std::memory_order_acquire)) break;
@@ -248,10 +255,7 @@ bool ThreadPool::TryRunOne() {
                              queues_.size());
   std::function<void()> task;
   if (!PopTask(preferred, &task)) return false;
-  task();
-  tasks_executed_.fetch_add(1, std::memory_order_relaxed);
-  Metrics().tasks->Add();
-  if (lane_tasks_ != nullptr) lane_tasks_->Add();
+  RunTask(&task);
   return true;
 }
 

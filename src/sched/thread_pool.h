@@ -119,7 +119,9 @@ class ThreadPool {
   /// very lane it runs on.
   static void SetExecLaneThreads(int threads);
 
-  /// Total tasks executed since construction (observability and tests).
+  /// Total tasks run since construction (observability and tests). A task
+  /// is counted as it starts, so it is counted by the time anything it
+  /// signals is visible.
   int64_t tasks_executed() const {
     return tasks_executed_.load(std::memory_order_relaxed);
   }
@@ -147,6 +149,8 @@ class ThreadPool {
   };
 
   void WorkerLoop(int index);
+  /// Books one task in the pool and lane counters, then runs and clears it.
+  void RunTask(std::function<void()>* task);
   /// Pops from queue `preferred` first (front), then steals from the
   /// others (back). Returns false when every queue was empty.
   bool PopTask(int preferred, std::function<void()>* out);

@@ -1,7 +1,10 @@
 #include "sparsity/sketch.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <unordered_map>
 
 namespace remac {
 
@@ -107,6 +110,34 @@ std::vector<std::pair<double, double>> BucketCounts(
   return buckets;
 }
 
+/// Returns `f(in[i])` for every element, evaluating `f` once per distinct
+/// input value. `f` must be a pure function of its argument; values are
+/// keyed by their exact bit pattern, so the result is bitwise what a
+/// per-element loop produces. Sketch count vectors hold few distinct values
+/// (exact integer counts, or per-count estimates propagated from them), so
+/// an expensive `f` runs O(distinct) times instead of O(size).
+template <typename F>
+std::vector<double> MapDistinct(const std::vector<double>& in, F&& f) {
+  std::vector<double> out(in.size());
+  std::unordered_map<uint64_t, double> memo;
+  // Runs of equal values (Uniform sketches, sorted counts) skip the hash.
+  uint64_t last_key = 0;
+  double last_value = 0.0;
+  bool has_last = false;
+  for (size_t i = 0; i < in.size(); ++i) {
+    const uint64_t key = std::bit_cast<uint64_t>(in[i]);
+    if (!has_last || key != last_key) {
+      auto [it, inserted] = memo.try_emplace(key, 0.0);
+      if (inserted) it->second = f(in[i]);
+      last_key = key;
+      last_value = it->second;
+      has_last = true;
+    }
+    out[i] = last_value;
+  }
+  return out;
+}
+
 }  // namespace
 
 std::shared_ptr<const MncSketch> SketchMultiply(const MncSketch& a,
@@ -145,36 +176,23 @@ std::shared_ptr<const MncSketch> SketchMultiply(const MncSketch& a,
   const double alpha = total_products / (a.nnz * b.nnz);
   const auto col_buckets = BucketCounts(b.col_counts);
   // Per-output-row expected counts: h_r^C[i] = sum_k P(C[i,k] != 0).
-  // Rows with equal input counts get equal outputs, so the (expensive)
-  // bucket sum is memoized per distinct input count.
-  out->row_counts.resize(a.row_counts.size());
-  double nnz = 0.0;
-  double memo_key = -1.0;
-  double memo_value = 0.0;
-  for (size_t i = 0; i < a.row_counts.size(); ++i) {
-    const double r = a.row_counts[i];
-    if (r != memo_key) {
-      double expected = 0.0;
-      for (const auto& [value, count] : col_buckets) {
-        expected += count * -std::expm1(-alpha * r * value);
-      }
-      memo_key = r;
-      memo_value = expected;
+  out->row_counts = MapDistinct(a.row_counts, [&](double r) {
+    double expected = 0.0;
+    for (const auto& [value, count] : col_buckets) {
+      expected += count * -std::expm1(-alpha * r * value);
     }
-    out->row_counts[i] = memo_value;
-    nnz += memo_value;
-  }
-  out->nnz = nnz;
+    return expected;
+  });
+  out->nnz = SumOf(out->row_counts);
   // Per-output-column expected counts, from the row buckets of A.
   const auto row_buckets = BucketCounts(a.row_counts);
-  out->col_counts.resize(b.col_counts.size());
-  for (size_t k = 0; k < b.col_counts.size(); ++k) {
+  out->col_counts = MapDistinct(b.col_counts, [&](double c) {
     double expected = 0.0;
     for (const auto& [value, count] : row_buckets) {
-      expected += count * -std::expm1(-alpha * value * b.col_counts[k]);
+      expected += count * -std::expm1(-alpha * value * c);
     }
-    out->col_counts[k] = expected;
-  }
+    return expected;
+  });
   ScaleTo(&out->col_counts, out->nnz, static_cast<double>(a.rows));
   return out;
 }

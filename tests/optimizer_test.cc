@@ -1,8 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "algorithms/scripts.h"
 #include "core/adaptive_optimizer.h"
 #include "data/generators.h"
+#include "plan/chain.h"
 #include "plan/plan_builder.h"
 #include "runtime/executor.h"
 #include "sparsity/estimator.h"
@@ -200,6 +205,67 @@ TEST(Optimizer, TempsScheduledBeforeUse) {
   // would fail with NotFound.
   Executor executor(ClusterModel(), &catalog, nullptr);
   EXPECT_TRUE(executor.Run(optimized->statements, 3).ok());
+}
+
+
+/// Applied option keys of the adaptive optimizer (MNC estimator, default
+/// config) on a Table-2 dataset at its default seed, sorted.
+std::vector<std::string> MncOptionKeys(const std::string& script,
+                                       const std::string& dataset) {
+  DataCatalog catalog;
+  EXPECT_TRUE(
+      RegisterDataset(&catalog, PaperDatasetSpec(dataset).value(), true).ok());
+  auto program = CompileScript(script, catalog);
+  EXPECT_TRUE(program.ok()) << program.status().ToString();
+  if (!program.ok()) return {};
+  MncEstimator estimator;
+  ReMacOptimizer optimizer(ClusterModel(), &estimator, &catalog,
+                           OptimizerConfig());
+  OptimizeReport report;
+  EXPECT_TRUE(optimizer.Optimize(*program, &report).ok());
+  std::vector<std::string> keys = report.applied_options;
+  std::sort(keys.begin(), keys.end());
+  return keys;
+}
+
+// Sorted option keys, written with '|' where JoinKey separates symbols.
+std::vector<std::string> Keys(std::vector<std::string> keys) {
+  for (std::string& key : keys) {
+    std::replace(key.begin(), key.end(), '|', kKeySeparator);
+  }
+  std::sort(keys.begin(), keys.end());
+  return keys;
+}
+
+// The options MNC chooses for DFP and BFGS on cri2 and red2, pinned: a
+// change that only speeds up sketch propagation must leave them alone.
+TEST(Optimizer, MncChosenOptionsPinnedForDfpAndBfgs) {
+  const std::vector<std::string> dfp = Keys({
+      "CSE#11{H@0|g@1 @ b2[0,2),b4[3,5),b4[5,7)^T,b5[0,2)^T,b5[7,9),b6[0,2),"
+      "b6[2,4)^T,b7[0,2)^T,b7[4,6)}",
+      "CSE#7{A'|A|H@0|g@1 @ b4[1,5),b4[5,9)^T,b5[0,4)^T,b5[5,9),b7[0,4)^T}",
+      "LSE#5{A'|A @ b0[0,2),b4[1,3),b4[7,9),b5[2,4),b5[5,7),b7[2,4)}",
+      "LSE#8{A'|b @ b1[0,2)}",
+  });
+  const std::vector<std::string> bfgs = Keys({
+      "CSE#10{A'|A|H@0|g@1 @ b3[0,4)^T,b5[2,6)^T,b6[0,4)^T,b7[1,5),b8[0,4)^T,"
+      "b9[0,4)^T,b9[5,9),b11[0,4)^T,b12[0,4)^T,b14[0,4)^T}",
+      "CSE#17{H@0|A'|A|H@0|g@1 @ b7[0,5),b9[4,9)}",
+      "CSE#18{H@0|g@1 @ b2[0,2),b3[0,2)^T,b3[4,6),b5[0,2),b5[2,4)^T,"
+      "b6[0,2)^T,b6[4,6),b7[3,5),b7[5,7)^T,b8[0,2)^T,b8[4,6),b9[0,2)^T,"
+      "b9[7,9),b10[0,2),b10[2,4)^T,b11[0,2)^T,b11[4,6),b12[0,2)^T,"
+      "b12[4,6),b13[0,2),b13[2,4)^T,b14[0,2)^T,b14[4,6)}",
+      "CSE#25{g@1'|H@0'|A'|A|H@0|g@1 @ b3[0,6),b6[0,6),b8[0,6),b11[0,6),"
+      "b12[0,6),b14[0,6)}",
+      "LSE#14{A'|b @ b1[0,2)}",
+      "LSE#8{A'|A @ b0[0,2),b3[2,4),b5[4,6),b6[2,4),b7[1,3),b8[2,4),"
+      "b9[2,4),b9[5,7),b11[2,4),b12[2,4),b14[2,4)}",
+  });
+  for (const char* ds : {"cri2", "red2"}) {
+    SCOPED_TRACE(ds);
+    EXPECT_EQ(MncOptionKeys(DfpScript(ds, 20), ds), dfp);
+    EXPECT_EQ(MncOptionKeys(BfgsScript(ds, 20), ds), bfgs);
+  }
 }
 
 }  // namespace

@@ -1,6 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <utility>
+#include <vector>
 
 #include "common/rng.h"
 #include "data/generators.h"
@@ -195,6 +200,219 @@ TEST(Sketch, ElemMulIntersection) {
       SketchElemMul(*MncSketch::FromMatrix(a), *MncSketch::FromMatrix(b));
   const double truth = ElementwiseMultiply(a, b).value().Sparsity();
   EXPECT_NEAR(prod->Sparsity(), truth, 0.03);
+}
+
+
+// --- SketchMultiply bitwise oracle -----------------------------------------
+//
+// The per-row formula SketchMultiply used before it memoized per distinct
+// count, kept verbatim as a reference: every output row and column runs its
+// own bucket sum (rows memoized only across equal *consecutive* counts).
+// The production version must reproduce it bit for bit, since plans,
+// simulated times and results all hang off these sketches.
+
+double RefSum(const std::vector<double>& v) {
+  double total = 0.0;
+  for (double x : v) total += x;
+  return total;
+}
+
+void RefScaleTo(std::vector<double>* counts, double target_total, double cap) {
+  double total = RefSum(*counts);
+  if (total <= 0.0) return;
+  double factor = target_total / total;
+  double overflow = 0.0;
+  double headroom_total = 0.0;
+  for (double& c : *counts) {
+    c *= factor;
+    if (c > cap) {
+      overflow += c - cap;
+      c = cap;
+    } else {
+      headroom_total += cap - c;
+    }
+  }
+  if (overflow > 0.0 && headroom_total > 0.0) {
+    const double redistribute = std::min(1.0, overflow / headroom_total);
+    for (double& c : *counts) c += (cap - c) * redistribute;
+  }
+}
+
+std::vector<std::pair<double, double>> RefBucketCounts(
+    const std::vector<double>& counts, int max_buckets = 64) {
+  std::vector<double> sorted;
+  constexpr size_t kMaxSample = 4096;
+  if (counts.size() > kMaxSample) {
+    const size_t stride = counts.size() / kMaxSample;
+    sorted.reserve(kMaxSample + 1);
+    for (size_t i = 0; i < counts.size(); i += stride) {
+      sorted.push_back(counts[i]);
+    }
+  } else {
+    sorted = counts;
+  }
+  std::sort(sorted.begin(), sorted.end());
+  std::vector<std::pair<double, double>> buckets;
+  const size_t n = sorted.size();
+  if (n == 0) return buckets;
+  const size_t per = std::max<size_t>(1, n / static_cast<size_t>(max_buckets));
+  size_t i = 0;
+  while (i < n) {
+    const size_t end = std::min(n, i + per);
+    double sum = 0.0;
+    for (size_t k = i; k < end; ++k) sum += sorted[k];
+    buckets.emplace_back(sum / static_cast<double>(end - i),
+                         static_cast<double>(end - i));
+    i = end;
+  }
+  return buckets;
+}
+
+MncSketch RefSketchMultiply(const MncSketch& a, const MncSketch& b) {
+  MncSketch out;
+  out.rows = a.rows;
+  out.cols = b.cols;
+  const double cells =
+      static_cast<double>(a.rows) * static_cast<double>(b.cols);
+  if (cells <= 0.0 || a.nnz <= 0.0 || b.nnz <= 0.0) {
+    out.nnz = 0;
+    out.row_counts.assign(static_cast<size_t>(a.rows), 0.0);
+    out.col_counts.assign(static_cast<size_t>(b.cols), 0.0);
+    return out;
+  }
+  double total_products = 0.0;
+  const size_t inner = std::min(a.col_counts.size(), b.row_counts.size());
+  for (size_t j = 0; j < inner; ++j) {
+    total_products += a.col_counts[j] * b.row_counts[j];
+  }
+  if (total_products <= 0.0) {
+    out.nnz = 0;
+    out.row_counts.assign(static_cast<size_t>(a.rows), 0.0);
+    out.col_counts.assign(static_cast<size_t>(b.cols), 0.0);
+    return out;
+  }
+  const double alpha = total_products / (a.nnz * b.nnz);
+  const auto col_buckets = RefBucketCounts(b.col_counts);
+  out.row_counts.resize(a.row_counts.size());
+  double nnz = 0.0;
+  double memo_key = -1.0;
+  double memo_value = 0.0;
+  for (size_t i = 0; i < a.row_counts.size(); ++i) {
+    const double r = a.row_counts[i];
+    if (r != memo_key) {
+      double expected = 0.0;
+      for (const auto& [value, count] : col_buckets) {
+        expected += count * -std::expm1(-alpha * r * value);
+      }
+      memo_key = r;
+      memo_value = expected;
+    }
+    out.row_counts[i] = memo_value;
+    nnz += memo_value;
+  }
+  out.nnz = nnz;
+  const auto row_buckets = RefBucketCounts(a.row_counts);
+  out.col_counts.resize(b.col_counts.size());
+  for (size_t k = 0; k < b.col_counts.size(); ++k) {
+    double expected = 0.0;
+    for (const auto& [value, count] : row_buckets) {
+      expected += count * -std::expm1(-alpha * value * b.col_counts[k]);
+    }
+    out.col_counts[k] = expected;
+  }
+  RefScaleTo(&out.col_counts, out.nnz, static_cast<double>(a.rows));
+  return out;
+}
+
+std::vector<uint64_t> Bits(const std::vector<double>& v) {
+  std::vector<uint64_t> bits;
+  bits.reserve(v.size());
+  for (double x : v) bits.push_back(std::bit_cast<uint64_t>(x));
+  return bits;
+}
+
+/// SketchMultiply(a, b) equals the reference in every bit.
+void ExpectMultiplyMatchesReference(const MncSketch& a, const MncSketch& b) {
+  const auto got = SketchMultiply(a, b);
+  const MncSketch want = RefSketchMultiply(a, b);
+  EXPECT_EQ(got->rows, want.rows);
+  EXPECT_EQ(got->cols, want.cols);
+  EXPECT_EQ(std::bit_cast<uint64_t>(got->nnz),
+            std::bit_cast<uint64_t>(want.nnz))
+      << got->nnz << " vs " << want.nnz;
+  EXPECT_EQ(Bits(got->row_counts), Bits(want.row_counts));
+  EXPECT_EQ(Bits(got->col_counts), Bits(want.col_counts));
+}
+
+/// A sketch with the given count vectors; nnz is the row-count total.
+MncSketch SketchOfCounts(std::vector<double> row_counts,
+                         std::vector<double> col_counts) {
+  MncSketch s;
+  s.rows = static_cast<int64_t>(row_counts.size());
+  s.cols = static_cast<int64_t>(col_counts.size());
+  s.nnz = RefSum(row_counts);
+  s.row_counts = std::move(row_counts);
+  s.col_counts = std::move(col_counts);
+  return s;
+}
+
+TEST(SketchMultiplyOracle, SkewedWithRepeatedNonAdjacentCounts) {
+  // Zipf-skewed leaves: few distinct counts, repeated all over the vector.
+  // 5000 rows also exercises BucketCounts' stride sampling.
+  const auto a = MncSketch::FromMatrix(SkewedSparse(5000, 300, 0.01, 1.1, 21));
+  const auto b = MncSketch::FromMatrix(SkewedSparse(300, 700, 0.02, 1.3, 22));
+  const auto at = SketchTranspose(*a);
+  ExpectMultiplyMatchesReference(*a, *b);
+  ExpectMultiplyMatchesReference(*at, *a);  // A'A
+  ExpectMultiplyMatchesReference(*a, *at);  // AA': 5000 columns
+  // Propagated (fractional) counts as inputs, as inside a chain.
+  const auto ata = SketchMultiply(*at, *a);
+  ExpectMultiplyMatchesReference(*a, *ata);
+  ExpectMultiplyMatchesReference(*ata, *at);
+  // Hand-made interleaving: equal counts never adjacent.
+  std::vector<double> rows;
+  std::vector<double> cols;
+  for (int i = 0; i < 600; ++i) rows.push_back(1.0 + (i * 7) % 5);
+  for (int i = 0; i < 90; ++i) cols.push_back(2.0 + (i * 3) % 4);
+  const MncSketch h = SketchOfCounts(rows, cols);
+  const MncSketch ht = *SketchTranspose(h);
+  ExpectMultiplyMatchesReference(h, ht);
+  ExpectMultiplyMatchesReference(ht, h);
+}
+
+TEST(SketchMultiplyOracle, ZeroCountsDegenerateShapesAndUniform) {
+  // Zero rows and columns mixed with non-zero ones.
+  const MncSketch z = SketchOfCounts({0, 3, 0, 2, 3, 0, 1, 0},
+                                     {2, 0, 0, 4, 3, 0});
+  ExpectMultiplyMatchesReference(z, *SketchTranspose(z));
+  ExpectMultiplyMatchesReference(*SketchTranspose(z), z);
+  // All-zero operand.
+  const MncSketch empty = SketchOfCounts({0, 0, 0}, {0, 0, 0, 0, 0, 0, 0, 0});
+  ExpectMultiplyMatchesReference(empty, z);
+  // 1 x n times n x 1 (inner product) and n x 1 times 1 x n (outer).
+  const MncSketch row = SketchOfCounts({5}, {1, 0, 1, 1, 0, 1, 1});
+  const MncSketch col = SketchOfCounts({1, 1, 0, 1, 1, 0, 1},
+                                       {5});
+  ExpectMultiplyMatchesReference(row, col);
+  ExpectMultiplyMatchesReference(col, row);
+  // Uniform sketches: one count repeated, dense and sparse.
+  const auto u1 = MncSketch::Uniform(400, 50, 0.05);
+  const auto u2 = MncSketch::Uniform(50, 300, 1.0);
+  ExpectMultiplyMatchesReference(*u1, *u2);
+  ExpectMultiplyMatchesReference(*u2, *SketchTranspose(*u2));
+  ExpectMultiplyMatchesReference(*MncSketch::Uniform(1, 50, 0.2), *u2);
+  ExpectMultiplyMatchesReference(*u1, *MncSketch::Uniform(50, 1, 0.3));
+}
+
+TEST(SketchMultiplyOracle, AllDistinctCounts) {
+  std::vector<double> rows;
+  std::vector<double> cols;
+  for (int i = 0; i < 700; ++i) rows.push_back(0.5 + 0.37 * i);
+  for (int i = 0; i < 120; ++i) cols.push_back(1.25 + 1.9 * (119 - i));
+  const MncSketch d = SketchOfCounts(rows, cols);
+  const MncSketch dt = *SketchTranspose(d);
+  ExpectMultiplyMatchesReference(d, dt);
+  ExpectMultiplyMatchesReference(dt, d);
 }
 
 }  // namespace
