@@ -3,8 +3,9 @@
 #
 #   debug       a Debug build (no NDEBUG, so every assert() is live) of
 #               remac_tests running the estimator, sketch, cost-graph,
-#               optimizer and prober suites; every other build is
-#               RelWithDebInfo, where assert() compiles away
+#               optimizer, prober, kernel, fusion and cost-audit suites;
+#               every other build is RelWithDebInfo, where assert()
+#               compiles away
 #   tsan        build with -DREMAC_SANITIZE=thread and run the concurrent
 #               suites (pool, ledger, task graph, plan service, metrics
 #               registry) under ThreadSanitizer
@@ -47,7 +48,7 @@ UBSAN_DIR="${4:-build-ubsan}"
 DEBUG_DIR="${5:-build-debug}"
 FILTER='ThreadPool.*:LanePool.*:Ledger.*:TaskGraph.*:Sched*.*:Kernels*.*:Fingerprint*.*:PlanCache*.*:Service*.*:Admission*.*:MatCache*.*:MatrixBytes.*:Obs*.*:Chaos*.*:Fault*.*:Trace*.*:Contention*.*:Fusion*.*'
 
-DEBUG_FILTER='*Sketch*:*Estimator*:Exact.*:Metadata.*:CostGraph*:Optimizer.*:AdaptiveProbe.*:Enumerate.*:Strategies.*'
+DEBUG_FILTER='*Sketch*:*Estimator*:Exact.*:Metadata.*:CostGraph*:Optimizer.*:AdaptiveProbe.*:Enumerate.*:Strategies.*:Kernels*.*:Fusion*.*:ObsAudit.*'
 
 GATES=()
 RESULTS=()

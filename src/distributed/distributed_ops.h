@@ -126,6 +126,10 @@ OpCosting CostSummaTiled(const TiledMatrix2D& a, const TiledMatrix2D& b,
 /// Derives the MatInfo of an in-memory matrix (actual statistics).
 MatInfo InfoOf(const Matrix& m, bool distributed);
 
+/// InfoOf of op(m) without materializing the transpose: sparsity is
+/// invariant under transposition, so only rows/cols swap.
+MatInfo InfoOfTransposed(const Matrix& m, bool transposed, bool distributed);
+
 /// Executes a * b (with optional transposes applied to either side, which
 /// models SystemDS's fused transpose-multiply so that t(A) %*% v does not
 /// materialize a distributed transpose), books the costing into `ledger`

@@ -322,6 +322,10 @@ Result<Matrix> MultiplyTransposed(const Matrix& a, bool a_transposed,
   if (a.is_dense() && b.is_dense()) {
     const DenseMatrix& da = a.dense();
     const DenseMatrix& db = b.dense();
+    Matrix out;
+    if (MultiplyDenseVectorShaped(da, a_transposed, db, b_transposed, &out)) {
+      return out;
+    }
     if (a_transposed && b_transposed) {
       return Matrix::FromDense(FusedDenseATBT(da, db));
     }

@@ -28,9 +28,9 @@ struct CompiledStep {
 };
 
 /// The tape lowered for interpretation: scalar slots folded into
-/// constants, matrix slots and step results numbered as per-cell scratch
-/// cells, and divide-by-scalar turned into the reciprocal multiply the
-/// unfused scalar path performs.
+/// constants, matrix slots, leaves and step results numbered as per-cell
+/// scratch cells (in that order), and divide-by-scalar turned into the
+/// reciprocal multiply the unfused scalar path performs.
 struct CompiledTape {
   std::vector<CompiledStep> steps;
   int32_t num_matrix_inputs = 0;
@@ -42,7 +42,8 @@ struct CompiledTape {
 };
 
 Result<CompiledTape> CompileTape(const FusedTape& tape, size_t num_matrices,
-                                 const std::vector<double>& scalars) {
+                                 const std::vector<double>& scalars,
+                                 const std::vector<FusedLeaf>& leaves) {
   if (tape.num_inputs < 0 ||
       tape.input_scalar.size() != static_cast<size_t>(tape.num_inputs)) {
     return Status::Internal("fused tape: bad input_scalar size");
@@ -54,25 +55,31 @@ Result<CompiledTape> CompileTape(const FusedTape& tape, size_t num_matrices,
   std::vector<Operand> slot_operand(static_cast<size_t>(tape.num_inputs) +
                                     tape.steps.size());
   CompiledTape out;
+  const int32_t first_leaf_cell = static_cast<int32_t>(num_matrices);
   size_t mi = 0;
   size_t si = 0;
+  size_t li = 0;
   for (int32_t s = 0; s < tape.num_inputs; ++s) {
     if (tape.input_scalar[static_cast<size_t>(s)]) {
       if (si >= scalars.size()) {
         return Status::Internal("fused tape: missing scalar operand");
       }
       slot_operand[static_cast<size_t>(s)] = Operand{-1, scalars[si++]};
+    } else if (li < leaves.size() && leaves[li].slot == s) {
+      slot_operand[static_cast<size_t>(s)] =
+          Operand{first_leaf_cell + static_cast<int32_t>(li++), 0.0};
     } else {
       slot_operand[static_cast<size_t>(s)] =
           Operand{static_cast<int32_t>(mi++), 0.0};
     }
   }
-  if (mi != num_matrices || si != scalars.size()) {
+  if (mi != num_matrices || si != scalars.size() || li != leaves.size()) {
     return Status::Internal("fused tape: operand count mismatch");
   }
   out.num_matrix_inputs = static_cast<int32_t>(mi);
-  out.num_cells =
-      out.num_matrix_inputs + static_cast<int32_t>(tape.steps.size());
+  const int32_t first_step_cell =
+      out.num_matrix_inputs + static_cast<int32_t>(li);
+  out.num_cells = first_step_cell + static_cast<int32_t>(tape.steps.size());
   out.steps.reserve(tape.steps.size());
   for (size_t j = 0; j < tape.steps.size(); ++j) {
     const FusedStep& step = tape.steps[j];
@@ -93,7 +100,7 @@ Result<CompiledTape> CompileTape(const FusedTape& tape, size_t num_matrices,
       cs.b.cval = cs.b.cval == 0.0 ? 0.0 : 1.0 / cs.b.cval;
     }
     slot_operand[tape.num_inputs + j] =
-        Operand{out.num_matrix_inputs + static_cast<int32_t>(j), 0.0};
+        Operand{first_step_cell + static_cast<int32_t>(j), 0.0};
     out.steps.push_back(cs);
   }
   // Zero image: run the tape once with every matrix cell at 0.
@@ -106,7 +113,7 @@ Result<CompiledTape> CompileTape(const FusedTape& tape, size_t num_matrices,
     const double b = cs.b.cell >= 0 ? cells[static_cast<size_t>(cs.b.cell)]
                                     : cs.b.cval;
     const double v = FusedApply(cs.op, a, b);
-    cells[static_cast<size_t>(out.num_matrix_inputs) + j] = v;
+    cells[static_cast<size_t>(first_step_cell) + j] = v;
     out.zero_image[j] = v;
   }
   return out;
@@ -168,26 +175,37 @@ int64_t StepTileDispatch(FusedOp op, const double* pa, double ca,
   return 0;
 }
 
+/// Vectors of one FusedLeaf, resolved to raw data.
+struct LeafVectors {
+  const double* u;
+  const double* v;
+};
+
 /// Runs the compiled steps over `count` flat cells, loading matrix-slot
 /// values through `in_ptr`, writing the final step's value to `out` and
-/// exact per-step non-zero counts to `nnz_out`. Tile-at-a-time: each step
-/// sweeps a kTileCells-wide lane before the next step runs, which keeps
-/// every intermediate in L1 instead of materializing it (the whole point
-/// of fusing), while the fixed-opcode inner loops vectorize like the
-/// unfused kernels. The final step streams straight into `out`; when
-/// `out` aliases a stolen input this is still safe, because an
-/// elementwise step reads cell k of every operand before writing cell k,
-/// and earlier steps only touch the current tile's range. Parallel over
+/// exact per-step non-zero counts to `nnz_out`. Tile-at-a-time: each
+/// leaf fills, and each step sweeps, a kTileCells-wide lane before the
+/// next one runs, which keeps every intermediate — outer products
+/// included — in L1 instead of materializing it (the whole point of
+/// fusing), while the fixed-opcode inner loops vectorize like the unfused
+/// kernels. `cols` maps a flat
+/// cell to its leaf row and column. The final step streams straight into
+/// `out`; when `out` aliases a stolen input this is still safe, because
+/// an elementwise step reads cell k of every operand before writing cell
+/// k, and earlier steps only touch the current tile's range. Parallel over
 /// fixed flat ranges; integer counts fold order-independently, so the
 /// result never depends on the thread count.
 void RunCells(const CompiledTape& ct, const std::vector<const double*>& in_ptr,
+              const std::vector<LeafVectors>& leaves, int64_t cols,
               int64_t count, double* out, std::vector<int64_t>* nnz_out) {
   const size_t ns = ct.steps.size();
+  const size_t nl = leaves.size();
   const size_t nm = static_cast<size_t>(ct.num_matrix_inputs);
+  const size_t lanes = nl + ns;
   std::vector<std::atomic<int64_t>> counts(ns);
-  ParallelForRows(count, static_cast<int64_t>(ns), [&](int64_t i0,
-                                                       int64_t i1) {
-    std::vector<double> scratch(ns * static_cast<size_t>(kTileCells));
+  ParallelForRows(count, static_cast<int64_t>(lanes), [&](int64_t i0,
+                                                          int64_t i1) {
+    std::vector<double> scratch(lanes * static_cast<size_t>(kTileCells));
     std::vector<int64_t> local(ns, 0);
     for (int64_t t = i0; t < i1; t += kTileCells) {
       const int64_t len = std::min(kTileCells, i1 - t);
@@ -198,11 +216,23 @@ void RunCells(const CompiledTape& ct, const std::vector<const double*>& in_ptr,
                static_cast<size_t>(o.cell - static_cast<int32_t>(nm)) *
                    static_cast<size_t>(kTileCells);
       };
+      for (size_t l = 0; l < nl; ++l) {
+        double* dst = scratch.data() + l * static_cast<size_t>(kTileCells);
+        for (int64_t done = 0; done < len;) {
+          const int64_t cell = t + done;
+          const int64_t row = cell / cols;
+          const int64_t col = cell - row * cols;
+          const int64_t seg = std::min(len - done, cols - col);
+          internal::OuterFillRow(leaves[l].u[row], leaves[l].v + col, seg,
+                                 dst + done);
+          done += seg;
+        }
+      }
       for (size_t j = 0; j < ns; ++j) {
         const CompiledStep& cs = ct.steps[j];
-        double* dst = j + 1 == ns
-                          ? out + t
-                          : scratch.data() + j * static_cast<size_t>(kTileCells);
+        double* dst = j + 1 == ns ? out + t
+                                  : scratch.data() + (nl + j) *
+                                        static_cast<size_t>(kTileCells);
         local[j] += StepTileDispatch(cs.op, lane(cs.a), cs.a.cval, lane(cs.b),
                                      cs.b.cval, dst, len);
       }
@@ -276,9 +306,16 @@ std::string FusedTape::ToString() const {
   return out;
 }
 
+int64_t OuterProductNnz(const Matrix& lhs, const Matrix& rhs) {
+  return internal::OuterProductNnz(lhs.dense().data(),
+                                   lhs.rows() * lhs.cols(), rhs.dense().data(),
+                                   rhs.rows() * rhs.cols());
+}
+
 Result<FusedExecResult> ExecuteFusedTape(const FusedTape& tape,
                                          std::vector<Matrix> matrices,
-                                         const std::vector<double>& scalars) {
+                                         const std::vector<double>& scalars,
+                                         std::vector<FusedLeaf> leaves) {
   for (const Matrix& m : matrices) {
     if (m.rows() != tape.rows || m.cols() != tape.cols) {
       return Status::Internal(StringFormat(
@@ -288,15 +325,29 @@ Result<FusedExecResult> ExecuteFusedTape(const FusedTape& tape,
           static_cast<long long>(tape.cols)));
     }
   }
+  auto is_vector = [](const Matrix& v, int64_t length) {
+    return v.is_dense() && (v.rows() == 1 || v.cols() == 1) &&
+           v.rows() * v.cols() == length;
+  };
+  std::vector<LeafVectors> leaf_vectors;
+  leaf_vectors.reserve(leaves.size());
+  for (const FusedLeaf& leaf : leaves) {
+    if (!is_vector(leaf.lhs, tape.rows) || !is_vector(leaf.rhs, tape.cols)) {
+      return Status::Internal("fused tape: leaf operands are not dense "
+                              "vectors of the region's rows and cols");
+    }
+    leaf_vectors.push_back(
+        LeafVectors{leaf.lhs.dense().data(), leaf.rhs.dense().data()});
+  }
   REMAC_ASSIGN_OR_RETURN(const CompiledTape ct,
-                         CompileTape(tape, matrices.size(), scalars));
+                         CompileTape(tape, matrices.size(), scalars, leaves));
   const int64_t total = tape.rows * tape.cols;
   FusedExecResult result;
 
   // CSR value-array fast path: all matrix operands share one structure
   // and cells outside it end at exactly 0, so only the stored values need
   // to run through the tape.
-  if (total > 0 && SharedCsrStructure(matrices) &&
+  if (total > 0 && leaves.empty() && SharedCsrStructure(matrices) &&
       ct.zero_image.back() == 0.0) {
     const CsrMatrix& base = matrices[0].csr();
     const int64_t snnz = base.nnz();
@@ -305,7 +356,8 @@ Result<FusedExecResult> ExecuteFusedTape(const FusedTape& tape,
       in_ptr[i] = matrices[i].csr().values().data();
     }
     std::vector<double> out_vals(static_cast<size_t>(snnz));
-    RunCells(ct, in_ptr, snnz, out_vals.data(), &result.step_nnz);
+    RunCells(ct, in_ptr, {}, tape.cols, snnz, out_vals.data(),
+             &result.step_nnz);
     // Out-of-structure cells follow the zero image: a step whose image is
     // non-zero (e.g. an interior "+ s") conceptually densifies, exactly as
     // its unfused counterpart would have.
@@ -359,8 +411,11 @@ Result<FusedExecResult> ExecuteFusedTape(const FusedTape& tape,
       in_ptr[i] = temps.back().data();
     }
   }
-  RunCells(ct, in_ptr, total, out_buf.data(), &result.step_nnz);
-  result.output = Matrix::FromDense(std::move(out_buf));
+  RunCells(ct, in_ptr, leaf_vectors, tape.cols, total, out_buf.data(),
+           &result.step_nnz);
+  // The final step counted its own non-zeros: no rescan of the output.
+  result.output =
+      Matrix::FromDense(std::move(out_buf), result.step_nnz.back());
   result.in_place = stolen_slot >= 0;
   return result;
 }

@@ -72,6 +72,22 @@ struct FusedTape {
   std::string ToString() const;
 };
 
+/// An outer-product leaf evaluated inside the tape: matrix slot `slot`
+/// takes, per cell, the value the local GEMM kernels give a k = 1
+/// product u·vᵀ: u[i] == 0 ? +0.0 : 0.0 + u[i]·v[x]. `lhs` holds the
+/// tape's `rows` values of u and `rhs` its `cols` values of v; both are
+/// dense, in either orientation (a vector's data is contiguous whichever
+/// way it is transposed).
+struct FusedLeaf {
+  int32_t slot = -1;
+  Matrix lhs;
+  Matrix rhs;
+};
+
+/// Exact nnz of a leaf's product lhs·rhsᵀ under the FusedLeaf semantics,
+/// without forming it (both operands dense vectors).
+int64_t OuterProductNnz(const Matrix& lhs, const Matrix& rhs);
+
 /// Result of executing a fused tape.
 struct FusedExecResult {
   Matrix output;
@@ -87,15 +103,19 @@ struct FusedExecResult {
   bool in_place = false;
 };
 
-/// Executes `tape` in a single pass over the data. `matrices` holds the
-/// matrix-slot operands in slot order (i.e. skipping scalar slots) and is
-/// taken by value: when a dense operand's payload is uniquely owned it is
-/// stolen and the output is computed in place (safe because every cell
-/// reads all of its inputs before the output cell is written). `scalars`
-/// holds the scalar-slot operands in slot order.
+/// Executes `tape` in a single pass over the data. `leaves` holds the
+/// matrix slots given as outer-product leaves, in slot order. `matrices`
+/// holds the operands of every other matrix slot in slot order (i.e.
+/// skipping scalar slots and leaves) and is taken by value:
+/// when a dense operand's payload is uniquely owned it is stolen and the
+/// output is computed in place (safe because every cell reads all of its
+/// inputs before the output cell is written). `scalars` holds the
+/// scalar-slot operands in slot order. A tape with leaves always runs the
+/// dense path.
 Result<FusedExecResult> ExecuteFusedTape(const FusedTape& tape,
                                          std::vector<Matrix> matrices,
-                                         const std::vector<double>& scalars);
+                                         const std::vector<double>& scalars,
+                                         std::vector<FusedLeaf> leaves = {});
 
 }  // namespace remac
 

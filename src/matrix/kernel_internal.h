@@ -370,6 +370,45 @@ void MicroKernel4x16Avx2(const double* a0, const double* a1, const double* a2,
                          double* c2, double* c3);
 #endif
 
+/// --- vector-shaped dense kernels (gemm.cc) --------------------------------
+///
+/// Bandwidth-bound products with a unit dimension, where the register
+/// tiles above never engage. Same per-cell contract as the GEMM family:
+/// ascending shared index from +0.0, left-value v == 0.0 skip, bitwise
+/// equal to the naive kernel at any thread count. `skip_on_matrix` says
+/// whether the left operand of each product is the matrix element
+/// (A·x, t(X)·v) or the vector element (yᵀ·B).
+
+/// out[i] = Σ_j m[i][j]·x[j] over the rows of row-major m (rows x k).
+void RowDots(const double* m, int64_t rows, int64_t k, const double* x,
+             bool skip_on_matrix, double* out);
+
+/// out[c] = Σ_j y[j]·m[j][c] over the columns of row-major m (k x n),
+/// streaming m's rows; `out` must be zero-initialized.
+void RowAxpy(const double* m, int64_t k, int64_t n, const double* y,
+             bool skip_on_matrix, double* out);
+
+/// One row segment of u·vᵀ under GEMM semantics (k = 1):
+/// dst[x] = u == 0 ? +0.0 : 0.0 + u·v[x].
+void OuterFillRow(double u, const double* v, int64_t n, double* dst);
+
+/// Exact nnz of u·vᵀ (m x n) under OuterFillRow semantics without forming
+/// it: O(m + n) unless products can underflow to zero.
+int64_t OuterProductNnz(const double* u, int64_t m, const double* v,
+                        int64_t n);
+
+/// u·vᵀ materialized.
+DenseMatrix OuterProduct(const double* u, int64_t m, const double* v,
+                         int64_t n);
+
+/// op(A)·op(B) for dense operands when op(A)·op(B) has a unit dimension
+/// (k = 1, n = 1 or m = 1): writes the product to `*out` and returns true;
+/// returns false for every other shape. Transposed vectors are read in
+/// their stored layout.
+bool MultiplyDenseVectorShaped(const DenseMatrix& a, bool a_transposed,
+                               const DenseMatrix& b, bool b_transposed,
+                               Matrix* out);
+
 /// Naive reference GEMM (the pre-blocking i-j-x loop). Kept as the
 /// bitwise oracle for the blocked kernel and as the bench baseline.
 DenseMatrix MultiplyDenseDenseNaive(const DenseMatrix& a,

@@ -239,6 +239,11 @@ Result<Matrix> Multiply(const Matrix& a, const Matrix& b) {
   if (a.cols() != b.rows()) return ShapeError("multiply", a, b);
   Metrics().multiplies->Add();
   if (a.is_dense() && b.is_dense()) {
+    Matrix out;
+    if (internal::MultiplyDenseVectorShaped(a.dense(), false, b.dense(),
+                                            false, &out)) {
+      return out;
+    }
     return Matrix::FromDense(MultiplyDenseDenseBlocked(a.dense(), b.dense()));
   }
   if (!a.is_dense() && b.is_dense()) {

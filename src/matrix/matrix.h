@@ -27,6 +27,11 @@ class Matrix {
   /// Wraps a dense payload, converting to CSR if sparsity <= 0.4.
   static Matrix FromDense(DenseMatrix dense);
 
+  /// FromDense for a producer that already knows the payload's exact
+  /// non-zero count (a kernel that counted while writing): no rescan.
+  /// `nnz` must equal dense.CountNonZeros() (asserted in debug builds).
+  static Matrix FromDense(DenseMatrix dense, int64_t nnz);
+
   /// Wraps a sparse payload, converting to dense if sparsity > 0.4.
   static Matrix FromCsr(CsrMatrix csr);
 
@@ -82,6 +87,9 @@ class Matrix {
   bool TryReleaseDense(DenseMatrix* out);
 
  private:
+  /// WrapDense with the payload's non-zero count supplied by the caller.
+  static Matrix WrapDenseCounted(DenseMatrix dense, int64_t nnz);
+
   MatrixFormat format_ = MatrixFormat::kDense;
   std::shared_ptr<const DenseMatrix> dense_;
   std::shared_ptr<const CsrMatrix> csr_;

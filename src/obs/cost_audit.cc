@@ -217,17 +217,12 @@ class CostWalker {
       }
       case PlanOp::kMatMul: {
         // Transpose fusion, exactly as the executor unwraps it.
-        const PlanNode* lhs = node.children[0].get();
-        const PlanNode* rhs = node.children[1].get();
-        const bool lt = lhs->op == PlanOp::kTranspose &&
-                        !lhs->children[0]->shape.ScalarLike();
-        const bool rt = rhs->op == PlanOp::kTranspose &&
-                        !rhs->children[0]->shape.ScalarLike();
+        const MatMulOperands ops = UnwrapMatMul(node);
+        const bool lt = ops.lhs_transposed;
+        const bool rt = ops.rhs_transposed;
         if (!lt && !rt) return EvalBinary(node);
-        REMAC_ASSIGN_OR_RETURN(const PredValue a,
-                               Eval(lt ? *lhs->children[0] : *lhs));
-        REMAC_ASSIGN_OR_RETURN(const PredValue b,
-                               Eval(rt ? *rhs->children[0] : *rhs));
+        REMAC_ASSIGN_OR_RETURN(const PredValue a, Eval(*ops.lhs));
+        REMAC_ASSIGN_OR_RETURN(const PredValue b, Eval(*ops.rhs));
         if (a.is_scalar || b.is_scalar) {
           // Degenerate fallback: the executor re-evaluates the original
           // children here, double-booking the subtrees; mirror that.
@@ -338,7 +333,10 @@ class CostWalker {
   /// Mirror of Executor::EvalFusedMap: replays the tape over statistics,
   /// booking per step exactly what the standalone operator's audit site
   /// books (CostScalarOp for unary maps and scalar broadcasts,
-  /// CostElementwise with the estimated result sparsity otherwise).
+  /// CostElementwise with the estimated result sparsity otherwise). An
+  /// outer-product input the executor keeps unformed is still a kMatMul
+  /// child, so evaluating the children replays it as the multiply the
+  /// executor books for it.
   Result<PredValue> EvalFusedMap(const PlanNode& node) {
     if (node.fused == nullptr) {
       return Status::Internal("kFusedMap node without a tape");

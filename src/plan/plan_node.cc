@@ -203,6 +203,18 @@ Result<int64_t> ConstDim(const PlanNode& node, size_t child) {
 
 }  // namespace
 
+MatMulOperands UnwrapMatMul(const PlanNode& node) {
+  auto unwrap = [](const PlanNode* child, bool* transposed) {
+    *transposed = child->op == PlanOp::kTranspose &&
+                  !child->children[0]->shape.ScalarLike();
+    return *transposed ? child->children[0].get() : child;
+  };
+  MatMulOperands ops;
+  ops.lhs = unwrap(node.children[0].get(), &ops.lhs_transposed);
+  ops.rhs = unwrap(node.children[1].get(), &ops.rhs_transposed);
+  return ops;
+}
+
 Status InferShapes(PlanNode* node) {
   for (auto& child : node->children) {
     REMAC_RETURN_NOT_OK(InferShapes(child.get()));

@@ -134,6 +134,19 @@ bool IsComparisonOp(PlanOp op);
 /// True for generator nodes (read/eye/zeros/ones/rand).
 bool IsGeneratorOp(PlanOp op);
 
+/// Operands of a kMatMul as the runtime evaluates them: t() of a
+/// non-scalar child is unwrapped into a transpose flag (fused
+/// transpose-multiply), so the transposed operand is never materialized.
+/// The executor and the cost audit both unwrap through this one
+/// function.
+struct MatMulOperands {
+  const PlanNode* lhs = nullptr;
+  bool lhs_transposed = false;
+  const PlanNode* rhs = nullptr;
+  bool rhs_transposed = false;
+};
+MatMulOperands UnwrapMatMul(const PlanNode& node);
+
 /// Recomputes `shape` bottom-up. Fails on dimension mismatches.
 /// Generator dimension arguments must be constants by this point.
 Status InferShapes(PlanNode* node);

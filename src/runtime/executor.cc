@@ -51,6 +51,17 @@ int64_t CountInputRefs(const PlanNode& node, const std::string& name) {
   return count;
 }
 
+/// True when a fused-region input is an outer product: a kMatMul of an
+/// m x 1 by a 1 x n operand with m, n >= 2 (child shapes are the
+/// effective operand shapes, so a t(v) child is already 1 x n; 1 x 1
+/// operands, which multiply as scalar scaling, stay out).
+bool IsOuterProduct(const PlanNode& node) {
+  return node.op == PlanOp::kMatMul && node.children.size() == 2 &&
+         node.shape.rows >= 2 && node.shape.cols >= 2 &&
+         node.children[0]->shape.cols == 1 &&
+         node.children[1]->shape.rows == 1;
+}
+
 }  // namespace
 
 RtValue RtValue::Scalar(double v) {
@@ -223,6 +234,12 @@ Result<RtValue> Executor::EvalGenerator(const PlanNode& node) {
 Result<RtValue> Executor::EvalBinary(const PlanNode& node) {
   REMAC_ASSIGN_OR_RETURN(const RtValue lhs, Eval(*node.children[0]));
   REMAC_ASSIGN_OR_RETURN(const RtValue rhs, Eval(*node.children[1]));
+  return ApplyBinary(node, lhs, rhs);
+}
+
+Result<RtValue> Executor::ApplyBinary(const PlanNode& node,
+                                      const RtValue& lhs,
+                                      const RtValue& rhs) {
   const bool l_scalar =
       lhs.is_scalar || (lhs.matrix.rows() == 1 && lhs.matrix.cols() == 1);
   const bool r_scalar =
@@ -355,6 +372,27 @@ Result<RtValue> Executor::EvalBinary(const PlanNode& node) {
   return RtValue::FromMatrix(std::move(out.value), out.distributed);
 }
 
+Result<RtValue> Executor::MultiplyOperands(const PlanNode& node,
+                                           const MatMulOperands& ops,
+                                           const RtValue& a,
+                                           const RtValue& b) {
+  if (!ops.lhs_transposed && !ops.rhs_transposed) {
+    return ApplyBinary(node, a, b);
+  }
+  if (a.is_scalar || b.is_scalar) {
+    // Degenerate; fall back to materialized transpose semantics.
+    return EvalBinary(node);
+  }
+  ++ops_executed_;
+  Metrics().ops->Add();
+  StageSpan span(Metrics().multiply_seconds, nullptr, "multiply");
+  REMAC_ASSIGN_OR_RETURN(
+      DistValue out,
+      ExecMultiply(a.matrix, a.distributed, ops.lhs_transposed, b.matrix,
+                   b.distributed, ops.rhs_transposed, model_, ledger_));
+  return RtValue::FromMatrix(std::move(out.value), out.distributed);
+}
+
 RtValue Executor::ApplyTraits(RtValue value) const {
   if (value.is_scalar) return value;
   if (traits_.force_dense && !value.matrix.is_dense()) {
@@ -408,29 +446,11 @@ Result<RtValue> Executor::EvalImpl(const PlanNode& node) {
     }
     case PlanOp::kMatMul: {
       // Transpose fusion: unwrap t() children.
-      const PlanNode* lhs = node.children[0].get();
-      const PlanNode* rhs = node.children[1].get();
-      const bool lt = lhs->op == PlanOp::kTranspose &&
-                      !lhs->children[0]->shape.ScalarLike();
-      const bool rt = rhs->op == PlanOp::kTranspose &&
-                      !rhs->children[0]->shape.ScalarLike();
-      if (!lt && !rt) return EvalBinary(node);
-      REMAC_ASSIGN_OR_RETURN(const RtValue a,
-                             Eval(lt ? *lhs->children[0] : *lhs));
-      REMAC_ASSIGN_OR_RETURN(const RtValue b,
-                             Eval(rt ? *rhs->children[0] : *rhs));
-      if (a.is_scalar || b.is_scalar) {
-        // Degenerate; fall back to materialized transpose semantics.
-        return EvalBinary(node);
-      }
-      ++ops_executed_;
-      Metrics().ops->Add();
-      StageSpan span(Metrics().multiply_seconds, nullptr, "multiply");
-      REMAC_ASSIGN_OR_RETURN(
-          DistValue out,
-          ExecMultiply(a.matrix, a.distributed, lt, b.matrix, b.distributed,
-                       rt, model_, ledger_));
-      return RtValue::FromMatrix(std::move(out.value), out.distributed);
+      const MatMulOperands ops = UnwrapMatMul(node);
+      if (!ops.lhs_transposed && !ops.rhs_transposed) return EvalBinary(node);
+      REMAC_ASSIGN_OR_RETURN(const RtValue a, Eval(*ops.lhs));
+      REMAC_ASSIGN_OR_RETURN(const RtValue b, Eval(*ops.rhs));
+      return MultiplyOperands(node, ops, a, b);
     }
     case PlanOp::kAdd:
     case PlanOp::kSub:
@@ -585,6 +605,62 @@ Result<RtValue> Executor::EvalImpl(const PlanNode& node) {
   return Status::Internal("unhandled op in Eval");
 }
 
+Result<std::optional<FusedLeaf>> Executor::EvalOuterSlot(
+    const PlanNode& node, MatInfo* info, RtValue* materialized) {
+  if (intermediates_ != nullptr && intermediates_->Tracks(&node)) {
+    REMAC_ASSIGN_OR_RETURN(*materialized, Eval(node));
+    return std::optional<FusedLeaf>();
+  }
+  const MatMulOperands ops = UnwrapMatMul(node);
+  REMAC_ASSIGN_OR_RETURN(const RtValue a, Eval(*ops.lhs));
+  REMAC_ASSIGN_OR_RETURN(const RtValue b, Eval(*ops.rhs));
+  const int64_t m = node.shape.rows;
+  const int64_t n = node.shape.cols;
+  // The leaf reads the operands as dense vectors of u·vᵀ; sparse kernels
+  // skip structural zeros where the dense per-cell product would not
+  // (Inf · 0), so only dense operands stay unformed.
+  auto dense_vector = [](const RtValue& v, int64_t length) {
+    return !v.is_scalar && v.matrix.is_dense() &&
+           (v.matrix.rows() == 1 || v.matrix.cols() == 1) &&
+           v.matrix.rows() * v.matrix.cols() == length;
+  };
+  const bool lhs_column = dense_vector(a, m) &&
+                          (ops.lhs_transposed ? a.matrix.rows()
+                                              : a.matrix.cols()) == 1;
+  const bool rhs_row = dense_vector(b, n) &&
+                       (ops.rhs_transposed ? b.matrix.cols()
+                                           : b.matrix.rows()) == 1;
+  if (lhs_column && rhs_row) {
+    // ActualSparsity of the product ExecMultiply would have formed.
+    const double sp = static_cast<double>(OuterProductNnz(a.matrix, b.matrix)) /
+                      static_cast<double>(m * n);
+    const OpCosting costing = CostMultiply(
+        InfoOfTransposed(a.matrix, ops.lhs_transposed, a.distributed),
+        InfoOfTransposed(b.matrix, ops.rhs_transposed, b.distributed), sp,
+        model_);
+    // A 2D candidate is priced from the product's exact tile grid, so it
+    // needs the product itself.
+    if (!Summa2DCandidate(costing, model_)) {
+      ++ops_executed_;
+      Metrics().ops->Add();
+      costing.Book(ledger_);
+      info->rows = static_cast<double>(m);
+      info->cols = static_cast<double>(n);
+      info->sparsity = sp;
+      // Mirror ApplyTraits, which the formed product would pass through.
+      info->distributed = costing.result_distributed ||
+                          (traits_.force_distributed && m * n > 1);
+      FusedLeaf leaf;
+      leaf.lhs = a.matrix;
+      leaf.rhs = b.matrix;
+      return std::optional<FusedLeaf>(std::move(leaf));
+    }
+  }
+  REMAC_ASSIGN_OR_RETURN(RtValue product, MultiplyOperands(node, ops, a, b));
+  *materialized = ApplyTraits(std::move(product));
+  return std::optional<FusedLeaf>();
+}
+
 Result<RtValue> Executor::EvalFusedMap(const PlanNode& node) {
   if (node.fused == nullptr) {
     return Status::Internal("kFusedMap node without a tape");
@@ -594,13 +670,29 @@ Result<RtValue> Executor::EvalFusedMap(const PlanNode& node) {
     return Status::Internal("fused region input arity mismatch");
   }
   // Evaluate the region inputs in slot order, capturing per-slot placement
-  // info before the matrices move into the kernel.
+  // info before the matrices move into the kernel. An outer-product input
+  // that becomes a leaf books its multiply here, in the ledger turn the
+  // formed product's evaluation would have taken.
   std::vector<Matrix> matrices;
   std::vector<double> scalars;
+  std::vector<FusedLeaf> leaves;
   std::vector<MatInfo> slot_info(static_cast<size_t>(tape.num_inputs));
   for (int32_t i = 0; i < tape.num_inputs; ++i) {
-    REMAC_ASSIGN_OR_RETURN(RtValue v, Eval(*node.children[i]));
-    if (tape.input_scalar[static_cast<size_t>(i)] != 0) {
+    const size_t slot = static_cast<size_t>(i);
+    const PlanNode& child = *node.children[i];
+    RtValue v;
+    if (tape.input_scalar[slot] == 0 && IsOuterProduct(child)) {
+      REMAC_ASSIGN_OR_RETURN(std::optional<FusedLeaf> leaf,
+                             EvalOuterSlot(child, &slot_info[slot], &v));
+      if (leaf.has_value()) {
+        leaf->slot = i;
+        leaves.push_back(std::move(leaf).value());
+        continue;
+      }
+    } else {
+      REMAC_ASSIGN_OR_RETURN(v, Eval(child));
+    }
+    if (tape.input_scalar[slot] != 0) {
       REMAC_ASSIGN_OR_RETURN(const double s, v.AsScalar());
       scalars.push_back(s);
     } else {
@@ -608,14 +700,14 @@ Result<RtValue> Executor::EvalFusedMap(const PlanNode& node) {
         return Status::Internal("scalar value in a matrix slot of " +
                                 node.ToString());
       }
-      slot_info[static_cast<size_t>(i)] = InfoOf(v.matrix, v.distributed);
+      slot_info[slot] = InfoOf(v.matrix, v.distributed);
       matrices.push_back(std::move(v.matrix));
     }
   }
   StageSpan span(Metrics().elementwise_seconds, nullptr, "fused");
-  REMAC_ASSIGN_OR_RETURN(
-      FusedExecResult exec,
-      ExecuteFusedTape(tape, std::move(matrices), scalars));
+  REMAC_ASSIGN_OR_RETURN(FusedExecResult exec,
+                         ExecuteFusedTape(tape, std::move(matrices), scalars,
+                                          std::move(leaves)));
   // Per-step cost booking mirrors the unfused operator sequence: every
   // tape step books exactly what the standalone operator would have
   // booked (scalar broadcasts and unary maps as CostScalarOp over the

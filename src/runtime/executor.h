@@ -13,6 +13,7 @@
 #include "cluster/transmission_ledger.h"
 #include "common/status.h"
 #include "distributed/distributed_ops.h"
+#include "matrix/fused_tape.h"
 #include "matrix/matrix.h"
 #include "plan/plan_builder.h"
 
@@ -86,6 +87,11 @@ class IntermediateStore {
   /// Offers a freshly computed node value (called for every evaluated
   /// node; implementations filter by pointer identity).
   virtual void Offer(const PlanNode* node, const RtValue& value) = 0;
+
+  /// True when Lookup/Offer act on `node`. The executor then evaluates
+  /// the node through them instead of keeping its value unformed (an
+  /// outer-product slot of a fused region).
+  virtual bool Tracks(const PlanNode* node) const = 0;
 };
 
 /// \brief Executes compiled statements against the simulated cluster.
@@ -147,9 +153,28 @@ class Executor {
   /// dense storage and distributed placement).
   RtValue ApplyTraits(RtValue value) const;
   Result<RtValue> EvalBinary(const PlanNode& node);
+  /// EvalBinary after its operands are evaluated.
+  Result<RtValue> ApplyBinary(const PlanNode& node, const RtValue& lhs,
+                              const RtValue& rhs);
+  /// The kMatMul `node` after its unwrapped operands `a` and `b` are
+  /// evaluated: the fused transpose-multiply, or EvalBinary's path when
+  /// neither side is transposed.
+  Result<RtValue> MultiplyOperands(const PlanNode& node,
+                                   const MatMulOperands& ops,
+                                   const RtValue& a, const RtValue& b);
   /// Evaluates a kFusedMap region: single-pass tape kernel plus per-step
   /// cost booking identical to the unfused operator sequence.
   Result<RtValue> EvalFusedMap(const PlanNode& node);
+  /// Evaluates an outer-product input `node` of a fused region. When the
+  /// product can stay unformed (dense vector operands, no 2D candidate,
+  /// not a matcache node), books exactly what ExecMultiply would have
+  /// booked for it, writes the product's exact statistics and placement
+  /// to `*info` and returns the leaf (slot unset); otherwise stores the
+  /// materialized product, evaluated exactly as Eval would, in
+  /// `*materialized` and returns nullopt.
+  Result<std::optional<FusedLeaf>> EvalOuterSlot(const PlanNode& node,
+                                                 MatInfo* info,
+                                                 RtValue* materialized);
   Result<RtValue> EvalGenerator(const PlanNode& node);
   Result<RtValue> ReadDataset(const std::string& name);
   /// If `stmt` re-assigns a matrix variable its plan reads exactly once,

@@ -67,6 +67,9 @@ class MatExecContext : public IntermediateStore {
 
   const RtValue* Lookup(const PlanNode* node) override;
   void Offer(const PlanNode* node, const RtValue& value) override;
+  bool Tracks(const PlanNode* node) const override {
+    return by_node_.count(node) > 0;  // immutable after construction
+  }
 
   MatRequestStats stats() const;
 

@@ -1,9 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstring>
+#include <functional>
 #include <string>
+#include <tuple>
 #include <vector>
 
+#include "algorithms/scripts.h"
+#include "baselines/engine_modes.h"
 #include "common/rng.h"
 #include "common/string_util.h"
 #include "data/generators.h"
@@ -519,6 +524,381 @@ TEST(FusionExec, AuditStillReconcilesFlopsUnderFusion) {
   // cannot drift by more than estimation error on these dense operands.
   EXPECT_GT(run->audit.flops.actual, 0.0);
   EXPECT_GT(run->audit.flops.predicted, 0.0);
+}
+
+// ---------------------------------------------------------------------------
+// Outer-product leaves: u·vᵀ formed per tile instead of materialized
+// ---------------------------------------------------------------------------
+
+/// Dense m x n matrix of Gaussians scaled by `scale`, with ~20% zeros and
+/// a -0.0 sprinkled in (so the leaf's u == 0 skip and sign handling run).
+Matrix ScaledDense(int64_t rows, int64_t cols, double scale, uint64_t seed) {
+  Rng rng(seed);
+  DenseMatrix m(rows, cols);
+  for (int64_t i = 0; i < m.size(); ++i) {
+    const double pick = rng.NextDouble();
+    m.data()[i] = pick < 0.2 ? 0.0
+                  : pick < 0.25 ? -0.0
+                                : rng.NextGaussian() * scale;
+  }
+  return Matrix::WrapDense(std::move(m));
+}
+
+/// Dense images equal bit for bit (-0.0 vs +0.0 fails).
+::testing::AssertionResult SameBits(const Matrix& a, const Matrix& b) {
+  if (a.rows() != b.rows() || a.cols() != b.cols()) {
+    return ::testing::AssertionFailure() << "shape mismatch";
+  }
+  const DenseMatrix da = a.ToDense();
+  const DenseMatrix db = b.ToDense();
+  if (da.size() > 0 &&
+      std::memcmp(da.data(), db.data(), da.size() * sizeof(double)) != 0) {
+    return ::testing::AssertionFailure() << "payload differs";
+  }
+  return ::testing::AssertionSuccess();
+}
+
+/// (A + u·vᵀ) * 2 with slot 1 an outer-product leaf.
+FusedTape OuterTape(int64_t rows, int64_t cols) {
+  FusedTape tape;
+  tape.rows = rows;
+  tape.cols = cols;
+  tape.num_inputs = 3;
+  tape.input_scalar = {0, 0, 1};
+  tape.steps = {{FusedOp::kAdd, 0, 1}, {FusedOp::kMul, 3, 2}};
+  return tape;
+}
+
+TEST(FusionTape, OuterLeafMatchesTheMaterializedProduct) {
+  ThreadGuard guard;
+  // 37 x 53 spans tile boundaries mid-row; the tiny scale underflows
+  // part of the product to zero.
+  for (const double scale : {1.0, 1e-162}) {
+    const Matrix a = RandomDense(37, 53, 81);
+    const Matrix u = ScaledDense(37, 1, scale, 82);
+    const Matrix v = ScaledDense(1, 53, scale, 83);
+    const Matrix product = Multiply(u, v).value();
+    for (int threads : {1, 2, 8}) {
+      SetKernelThreads(threads);
+      auto formed = ExecuteFusedTape(OuterTape(37, 53), {a, product}, {2.0});
+      auto leaf = ExecuteFusedTape(OuterTape(37, 53), {a}, {2.0},
+                                   {FusedLeaf{1, u, v}});
+      ASSERT_TRUE(formed.ok()) << formed.status().ToString();
+      ASSERT_TRUE(leaf.ok()) << leaf.status().ToString();
+      EXPECT_TRUE(BitwiseEqual(leaf->output, formed->output)) << threads;
+      EXPECT_EQ(leaf->step_nnz, formed->step_nnz) << threads;
+      EXPECT_EQ(OuterProductNnz(u, v), product.nnz()) << scale;
+    }
+  }
+  // The tiny scale really does underflow some non-zero pairs.
+  const Matrix u = ScaledDense(37, 1, 1e-162, 82);
+  const Matrix v = ScaledDense(1, 53, 1e-162, 83);
+  EXPECT_LT(Multiply(u, v).value().nnz(), u.nnz() * v.nnz());
+}
+
+TEST(FusionTape, LeafInAScalarSlotIsRejected) {
+  const Matrix a = RandomDense(4, 5, 84);
+  const Matrix b = RandomDense(4, 5, 87);
+  EXPECT_FALSE(ExecuteFusedTape(OuterTape(4, 5), {a, b}, {},
+                                {FusedLeaf{2, RandomDense(4, 1, 85),
+                                           RandomDense(5, 1, 86)}})
+                   .ok());
+}
+
+/// Everything an execution booked, plus its results.
+struct Outcome {
+  std::map<std::string, RtValue> env;
+  double flops = 0.0;
+  std::array<double, kNumTransmissionPrimitives> bytes{};
+  int64_t ops = 0;
+  int64_t multiplies = 0;  // local multiply kernel calls
+  /// Outer products the fused run kept unformed (set by
+  /// ExpectFusedEqualsUnfused: the unfused run's extra multiplies).
+  int64_t unformed_products = 0;
+  CostAuditRecord audit;
+};
+
+Outcome Execute(const std::string& script, const DataCatalog& catalog,
+                const RunConfig& config) {
+  Outcome out;
+  auto program = CompileScript(script, catalog);
+  EXPECT_TRUE(program.ok()) << program.status().ToString();
+  if (!program.ok()) return out;
+  auto optimized = OptimizeCompiled(*program, catalog, config, nullptr);
+  EXPECT_TRUE(optimized.ok()) << optimized.status().ToString();
+  if (!optimized.ok()) return out;
+  TransmissionLedger ledger(config.cluster);
+  RunReport report;
+  Counter* ops = MetricsRegistry::Global().GetCounter("remac.executor.ops");
+  Counter* multiplies =
+      MetricsRegistry::Global().GetCounter("remac.kernel.multiplies");
+  const int64_t ops_before = ops->Value();
+  const int64_t multiplies_before = multiplies->Value();
+  const Status status =
+      ExecuteCompiled(*optimized, catalog, config, &ledger, &report);
+  EXPECT_TRUE(status.ok()) << status.ToString();
+  out.ops = ops->Value() - ops_before;
+  out.multiplies = multiplies->Value() - multiplies_before;
+  out.env = std::move(report.env);
+  out.audit = report.audit;
+  out.flops = ledger.TotalFlops();
+  for (size_t i = 0; i < out.bytes.size(); ++i) {
+    out.bytes[i] = ledger.BytesFor(static_cast<TransmissionPrimitive>(i));
+  }
+  return out;
+}
+
+/// Runs `script` fused and with fusion off; results must match bit for
+/// bit and every ledger total and the op count exactly (the task-graph
+/// scheduler folds per-task ledgers in completion order, so there the
+/// totals may differ by rounding: `ledger_rel_tol`).
+Outcome ExpectFusedEqualsUnfused(const std::string& script,
+                                 const DataCatalog& catalog, RunConfig config,
+                                 double ledger_rel_tol = 0.0) {
+  config.fuse_elementwise = true;
+  Outcome fused = Execute(script, catalog, config);
+  config.fuse_elementwise = false;
+  const Outcome unfused = Execute(script, catalog, config);
+  fused.unformed_products = unfused.multiplies - fused.multiplies;
+  EXPECT_GE(fused.unformed_products, 0);
+  EXPECT_EQ(fused.env.size(), unfused.env.size());
+  for (const auto& [name, value] : unfused.env) {
+    auto it = fused.env.find(name);
+    if (it == fused.env.end()) {
+      ADD_FAILURE() << "missing " << name;
+      continue;
+    }
+    if (value.is_scalar) {
+      EXPECT_TRUE(it->second.is_scalar) << name;
+      EXPECT_EQ(std::memcmp(&value.scalar, &it->second.scalar,
+                            sizeof(double)),
+                0)
+          << name << ": " << value.scalar << " vs " << it->second.scalar;
+    } else {
+      EXPECT_TRUE(SameBits(it->second.matrix, value.matrix)) << name;
+      EXPECT_EQ(it->second.distributed, value.distributed) << name;
+    }
+  }
+  auto expect_total = [&](double a, double b, const std::string& what) {
+    if (ledger_rel_tol == 0.0) {
+      EXPECT_EQ(a, b) << what;
+    } else {
+      EXPECT_NEAR(a, b, ledger_rel_tol * std::max(1.0, std::fabs(b))) << what;
+    }
+  };
+  expect_total(fused.flops, unfused.flops, "flops");
+  for (size_t i = 0; i < fused.bytes.size(); ++i) {
+    expect_total(fused.bytes[i], unfused.bytes[i],
+                 StringFormat("bytes of primitive %d", static_cast<int>(i)));
+  }
+  EXPECT_EQ(fused.ops, unfused.ops);
+  return fused;
+}
+
+DataCatalog AlgorithmCatalog() {
+  DataCatalog catalog;
+  DatasetSpec spec;
+  spec.name = "ds";
+  spec.rows = 60;
+  spec.cols = 12;
+  spec.sparsity = 0.5;
+  spec.seed = 17;
+  EXPECT_TRUE(RegisterDataset(&catalog, spec).ok());
+  return catalog;
+}
+
+class FusionLeavesAlgorithmTest
+    : public ::testing::TestWithParam<
+          std::tuple<int, SchedulerKind, EngineKind>> {};
+
+/// All six algorithm scripts, fused (outer products as leaves) vs
+/// --no-fuse, under both schedulers and every engine personality.
+TEST_P(FusionLeavesAlgorithmTest, MatchesUnfusedWithEqualLedger) {
+  const auto [index, scheduler, engine] = GetParam();
+  const std::function<std::string()> scripts[] = {
+      [] { return GdScript("ds", 3); },
+      [] { return DfpScript("ds", 3); },
+      [] { return BfgsScript("ds", 3); },
+      [] { return GnmfScript("ds", 3, 3); },
+      [] { return LogisticRegressionScript("ds", 3); },
+      [] { return RidgeRegressionScript("ds", 3); },
+  };
+  const DataCatalog catalog = AlgorithmCatalog();
+  RunConfig config;
+  config.max_iterations = 3;
+  config.scheduler = scheduler;
+  config.pool_threads = 2;
+  config.engine = engine;
+  const Outcome fused = ExpectFusedEqualsUnfused(
+      scripts[index](), catalog, config,
+      scheduler == SchedulerKind::kTaskGraph ? 1e-12 : 0.0);
+  if (engine != EngineKind::kSystemDsLike) {
+    // These personalities place every operand distributed, so each outer
+    // product is a CPMM, i.e. a 2D candidate, and is formed.
+    EXPECT_EQ(fused.unformed_products, 0);
+  } else if (index == 1 || index == 2) {
+    // DFP and BFGS update H with rank-1 terms: leaves must be in play.
+    EXPECT_GT(fused.unformed_products, 0);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    FusionScripts, FusionLeavesAlgorithmTest,
+    ::testing::Combine(::testing::Range(0, 6),
+                       ::testing::Values(SchedulerKind::kSerial,
+                                         SchedulerKind::kTaskGraph),
+                       ::testing::Values(EngineKind::kSystemDsLike,
+                                         EngineKind::kPbdR,
+                                         EngineKind::kSciDb)));
+
+/// Catalog of vectors whose products underflow: u·vᵀ has fewer non-zeros
+/// than nnz(u)·nnz(v), so only an exact count books the right bytes.
+DataCatalog TinyVectorCatalog() {
+  DataCatalog catalog;
+  catalog.Register("a", RandomDense(24, 18, 91));
+  catalog.Register("u", ScaledDense(24, 1, 1e-162, 92));
+  catalog.Register("v", ScaledDense(18, 1, 1e-162, 93));
+  DenseMatrix ones(18, 1);
+  for (int64_t i = 0; i < ones.size(); ++i) ones.data()[i] = 1.0;
+  catalog.Register("ones", Matrix::WrapDense(std::move(ones)));
+  return catalog;
+}
+
+TEST(FusionLeaves, UnderflowingLeafBooksItsExactSparsity) {
+  const DataCatalog catalog = TinyVectorCatalog();
+  // u stays a distributed dataset while v becomes a local vector (an
+  // elementwise result small enough to collect), so the multiply is a
+  // BMM whose collection bytes price the exact product nnz.
+  const std::string script =
+      "A = read(\"a\");\n"
+      "U = read(\"u\");\n"
+      "V = read(\"v\") * read(\"ones\");\n"
+      "Y = (A + U %*% t(V)) * 3;\n";
+  RunConfig config;
+  config.optimizer = OptimizerKind::kAsWritten;
+  const Outcome fused = ExpectFusedEqualsUnfused(script, catalog, config);
+  EXPECT_EQ(fused.unformed_products, 1);
+  const Matrix product =
+      Multiply(catalog.Value("u").value(),
+               Transpose(catalog.Value("v").value()))
+          .value();
+  EXPECT_LT(product.nnz(), catalog.Value("u").value().nnz() *
+                               catalog.Value("v").value().nnz());
+  EXPECT_GT(fused.bytes[static_cast<size_t>(
+                TransmissionPrimitive::kCollection)],
+            0.0);
+}
+
+TEST(FusionLeaves, TwoDimensionalCandidateFormsTheProduct) {
+  const DataCatalog catalog = TinyVectorCatalog();
+  // Both vectors are distributed datasets: the 1D chooser picks CPMM, a
+  // SUMMA candidate priced from the product's tile grid, so the leaf
+  // falls back to forming the product.
+  const std::string script =
+      "A = read(\"a\");\n"
+      "Y = (A + read(\"u\") %*% t(read(\"v\"))) * 3;\n";
+  RunConfig config;
+  config.optimizer = OptimizerKind::kAsWritten;
+  config.cluster.dist2d = Dist2DMode::kForce2D;
+  Counter* candidates =
+      MetricsRegistry::Global().GetCounter("remac.dist2d.candidates");
+  const int64_t before = candidates->Value();
+  const Outcome fused = ExpectFusedEqualsUnfused(script, catalog, config);
+  EXPECT_EQ(fused.unformed_products, 0);
+  // One candidate per run: the fused run's fallback went through the
+  // exact-tile pricing just as the unfused multiply did.
+  EXPECT_EQ(candidates->Value() - before, 2);
+}
+
+/// `m` with about `zero_fraction` of its cells set to +0.0, kept in the
+/// storage format it has.
+Matrix WithZeros(const Matrix& m, double zero_fraction, uint64_t seed) {
+  Rng rng(seed);
+  DenseMatrix d = m.ToDense();
+  for (int64_t i = 0; i < d.size(); ++i) {
+    if (rng.NextDouble() < zero_fraction) d.data()[i] = 0.0;
+  }
+  return m.is_dense() ? Matrix::WrapDense(std::move(d))
+                      : Matrix::FromDense(std::move(d));
+}
+
+TEST(FusionLeaves, SparseLeavesBesideCsrInputsMatchUnfused) {
+  // Every other region input is CSR and every product is at most 40%
+  // dense, so the unfused operators all run on CSR matrices while the
+  // fused region evaluates the unformed leaves on its dense path. V and W
+  // share one zero pattern, so the two products of Z share a structure.
+  DataCatalog catalog;
+  catalog.Register("a", Matrix::FromDense(
+                            WithZeros(RandomDense(24, 18, 94), 0.8, 95)
+                                .ToDense()));
+  catalog.Register("u", WithZeros(ScaledDense(24, 1, 1.0, 96), 0.3, 97));
+  const Matrix v = ScaledDense(18, 1, 1.0, 98);
+  DenseMatrix w = RandomDense(18, 1, 99).ToDense();
+  for (int64_t i = 0; i < w.size(); ++i) {
+    if (v.dense().data()[i] == 0.0) w.data()[i] = 0.0;
+  }
+  catalog.Register("v", v);
+  catalog.Register("w", Matrix::WrapDense(std::move(w)));
+  DenseMatrix ones(18, 1);
+  for (int64_t i = 0; i < ones.size(); ++i) ones.data()[i] = 1.0;
+  catalog.Register("ones", Matrix::WrapDense(std::move(ones)));
+  ASSERT_FALSE(catalog.Value("a").value().is_dense());
+  // Formed, the product would be CSR too.
+  EXPECT_FALSE(Multiply(catalog.Value("u").value(),
+                        Transpose(catalog.Value("v").value()))
+                   .value()
+                   .is_dense());
+  const std::string script =
+      "A = read(\"a\");\n"
+      "U = read(\"u\");\n"
+      "V = read(\"v\") * read(\"ones\");\n"
+      "W = read(\"w\") * read(\"ones\");\n"
+      "Y = (A + U %*% t(V)) * 3;\n"
+      "Z = (U %*% t(V)) * (U %*% t(W)) * 2;\n";
+  RunConfig config;
+  config.optimizer = OptimizerKind::kAsWritten;
+  const Outcome fused = ExpectFusedEqualsUnfused(script, catalog, config);
+  EXPECT_EQ(fused.unformed_products, 3);
+  ASSERT_TRUE(fused.env.count("Y") && fused.env.count("Z"));
+  EXPECT_FALSE(fused.env.at("Y").matrix.is_dense());
+  EXPECT_FALSE(fused.env.at("Z").matrix.is_dense());
+}
+
+/// The cost audit replays an outer-product slot as the multiply the
+/// executor books for it, so on the paper's rank-1-update programs the
+/// predicted-vs-actual reconciliation is the same fused as unfused.
+TEST(ObsAudit, OuterLeavesKeepTheCri2AuditReconciled) {
+  DataCatalog catalog;
+  ASSERT_TRUE(RegisterDataset(&catalog, PaperDatasetSpec("cri2").value()).ok());
+  RunConfig config;
+  config.max_iterations = 2;
+  for (const std::string& script :
+       {DfpScript("cri2", 2), BfgsScript("cri2", 2)}) {
+    const Outcome fused = ExpectFusedEqualsUnfused(script, catalog, config);
+    config.fuse_elementwise = false;
+    const Outcome unfused = Execute(script, catalog, config);
+    config.fuse_elementwise = true;
+    EXPECT_GT(fused.unformed_products, 0);
+    ASSERT_TRUE(fused.audit.valid) << fused.audit.error;
+    ASSERT_TRUE(unfused.audit.valid) << unfused.audit.error;
+    // The walker books a fused region's steps after all of its inputs,
+    // the unfused tree interleaves them, so predicted sums may differ in
+    // rounding; the actual sides are the ledgers, which match exactly.
+    auto near = [](double a, double b) {
+      return std::fabs(a - b) <= 1e-12 * std::max(1.0, std::fabs(b));
+    };
+    EXPECT_TRUE(near(fused.audit.flops.predicted,
+                     unfused.audit.flops.predicted));
+    EXPECT_EQ(fused.audit.flops.actual, unfused.audit.flops.actual);
+    for (size_t i = 0; i < fused.audit.transmission.size(); ++i) {
+      EXPECT_TRUE(near(fused.audit.transmission[i].predicted,
+                       unfused.audit.transmission[i].predicted))
+          << i;
+      EXPECT_EQ(fused.audit.transmission[i].actual,
+                unfused.audit.transmission[i].actual)
+          << i;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

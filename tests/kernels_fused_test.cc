@@ -1,11 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
+#include <limits>
 #include <tuple>
 #include <vector>
 
 #include "common/rng.h"
 #include "data/generators.h"
+#include "matrix/fused_tape.h"
 #include "matrix/kernels.h"
 #include "obs/metrics.h"
 #include "plan/plan_builder.h"
@@ -262,6 +265,161 @@ TEST(KernelsDeterminism, SparseMultiplyThreadInvariant) {
     SetKernelThreads(threads);
     EXPECT_TRUE(BitwiseEqual(Multiply(a, b).value(), serial)) << threads;
   }
+}
+
+// ---------------------------------------------------------------------------
+// Vector-shaped kernels (GEMV, GEVM, outer product) vs the naive oracle
+// ---------------------------------------------------------------------------
+
+/// Value mix of the vector-kernel oracle. kSpecial: zeros, -0.0,
+/// subnormals and Gaussians, plus about two NaN, +Inf and -Inf cells per
+/// operand (rare enough that most output cells stay finite). kTiny:
+/// Gaussians scaled to 1e-162, so products underflow to zero or to
+/// subnormals.
+enum class ValueMix { kSpecial, kTiny };
+
+Matrix MixedDense(int64_t rows, int64_t cols, ValueMix mix, uint64_t seed) {
+  Rng rng(seed);
+  DenseMatrix m(rows, cols);
+  const double rare = 2.0 / static_cast<double>(std::max<int64_t>(1, m.size()));
+  for (int64_t i = 0; i < m.size(); ++i) {
+    const double g = rng.NextGaussian();
+    if (mix == ValueMix::kTiny) {
+      m.data()[i] = rng.NextDouble() < 0.2 ? 0.0 : g * 1e-162;
+      continue;
+    }
+    const double pick = rng.NextDouble();
+    double v = g;
+    if (pick < 0.25) {
+      v = 0.0;
+    } else if (pick < 0.30) {
+      v = -0.0;
+    } else if (pick < 0.35) {
+      v = g * 1e-310;  // subnormal
+    } else if (pick < 0.35 + rare) {
+      v = std::numeric_limits<double>::quiet_NaN();
+    } else if (pick < 0.35 + 2 * rare) {
+      v = std::numeric_limits<double>::infinity();
+    } else if (pick < 0.35 + 3 * rare) {
+      v = -std::numeric_limits<double>::infinity();
+    }
+    m.data()[i] = v;
+  }
+  return Matrix::WrapDense(std::move(m));
+}
+
+/// BitwiseEqual where any two NaNs match: IEEE 754 leaves the payload of
+/// a NaN produced from two NaN operands unspecified, and the compiler may
+/// commute the operands of a scalar add.
+::testing::AssertionResult BitwiseEqualNanAware(const Matrix& a,
+                                                const Matrix& b) {
+  if (a.rows() != b.rows() || a.cols() != b.cols()) {
+    return ::testing::AssertionFailure() << "shape mismatch";
+  }
+  if (a.is_dense() != b.is_dense()) {
+    return ::testing::AssertionFailure() << "format mismatch";
+  }
+  if (a.nnz() != b.nnz()) {
+    return ::testing::AssertionFailure()
+           << "nnz " << a.nnz() << " vs " << b.nnz();
+  }
+  const DenseMatrix da = a.ToDense();
+  const DenseMatrix db = b.ToDense();
+  for (int64_t i = 0; i < da.size(); ++i) {
+    const double x = da.data()[i];
+    const double y = db.data()[i];
+    if (std::isnan(x) && std::isnan(y)) continue;
+    if (std::memcmp(&x, &y, sizeof(double)) != 0) {
+      return ::testing::AssertionFailure()
+             << "cell " << i << ": " << x << " vs " << y;
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+class KernelsVectorShapedTest
+    : public ::testing::TestWithParam<std::tuple<ValueMix, int>> {};
+
+/// Every vector-shaped orientation against materialize-then-naive, for
+/// m, n in {1, 3, 17, 870}: A·x, yᵀ·B, t(v)·B, u·t(v) (and u·w with w a
+/// row), t(X)·v, A·t(w) and t(y)·t(B).
+TEST_P(KernelsVectorShapedTest, BitwiseMatchesNaiveOracle) {
+  ThreadGuard guard;
+  const ValueMix mix = std::get<0>(GetParam());
+  SetKernelThreads(std::get<1>(GetParam()));
+  auto naive = [](const Matrix& a, const Matrix& b) {
+    return MultiplyReferenceNaive(a, b).value();
+  };
+  const int64_t sizes[] = {1, 3, 17, 870};
+  uint64_t seed = 900;
+  for (const int64_t m : sizes) {
+    for (const int64_t n : sizes) {
+      const std::string at = std::to_string(m) + "x" + std::to_string(n);
+      const Matrix a = MixedDense(m, n, mix, ++seed);      // m x n
+      const Matrix bt = MixedDense(n, m, mix, ++seed);     // n x m
+      const Matrix col_m = MixedDense(m, 1, mix, ++seed);  // m x 1
+      const Matrix col_n = MixedDense(n, 1, mix, ++seed);  // n x 1
+      const Matrix row_m = MixedDense(1, m, mix, ++seed);  // 1 x m
+      const Matrix row_n = MixedDense(1, n, mix, ++seed);  // 1 x n
+      EXPECT_TRUE(BitwiseEqualNanAware(Multiply(a, col_n).value(),
+                                       naive(a, col_n)))
+          << "A·x " << at;
+      EXPECT_TRUE(BitwiseEqualNanAware(Multiply(row_m, a).value(),
+                                       naive(row_m, a)))
+          << "yᵀ·B " << at;
+      EXPECT_TRUE(BitwiseEqualNanAware(
+          MultiplyTransposed(col_m, true, a, false).value(),
+          naive(Transpose(col_m), a)))
+          << "t(v)·B " << at;
+      EXPECT_TRUE(BitwiseEqualNanAware(
+          MultiplyTransposed(col_m, false, col_n, true).value(),
+          naive(col_m, Transpose(col_n))))
+          << "u·t(v) " << at;
+      EXPECT_TRUE(BitwiseEqualNanAware(Multiply(col_m, row_n).value(),
+                                       naive(col_m, row_n)))
+          << "u·w " << at;
+      EXPECT_TRUE(BitwiseEqualNanAware(
+          MultiplyTransposed(a, true, col_m, false).value(),
+          naive(Transpose(a), col_m)))
+          << "t(X)·v " << at;
+      EXPECT_TRUE(BitwiseEqualNanAware(
+          MultiplyTransposed(a, false, row_n, true).value(),
+          naive(a, Transpose(row_n))))
+          << "A·t(w) " << at;
+      EXPECT_TRUE(BitwiseEqualNanAware(
+          MultiplyTransposed(col_m, true, bt, true).value(),
+          naive(Transpose(col_m), Transpose(bt))))
+          << "t(y)·t(B) " << at;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    KernelsMixAndThreads, KernelsVectorShapedTest,
+    ::testing::Combine(::testing::Values(ValueMix::kSpecial, ValueMix::kTiny),
+                       ::testing::Values(1, 2, 8)));
+
+/// The O(m + n) outer-product nnz count agrees with the materialized
+/// product, including rows whose products underflow to zero.
+TEST(KernelsVectorShaped, OuterProductNnzIsExact) {
+  for (const ValueMix mix : {ValueMix::kSpecial, ValueMix::kTiny}) {
+    for (const int64_t m : {1, 3, 17, 870}) {
+      const Matrix u = MixedDense(m, 1, mix, 950 + m);
+      const Matrix v = MixedDense(1, 170, mix, 960 + m);
+      const Matrix product = MultiplyReferenceNaive(u, v).value();
+      EXPECT_EQ(OuterProductNnz(u, v), product.nnz()) << m;
+    }
+  }
+  // A row that only partly underflows: 1e-160 * [1e-170, 1, 0, -1e-200].
+  DenseMatrix u(2, 1);
+  u.At(0, 0) = 1e-160;
+  u.At(1, 0) = -2.0;
+  DenseMatrix v(4, 1);
+  v.At(0, 0) = 1e-170;
+  v.At(1, 0) = 1.0;
+  v.At(3, 0) = -1e-200;
+  EXPECT_EQ(OuterProductNnz(Matrix::WrapDense(u), Matrix::WrapDense(v)),
+            1 + 3);
 }
 
 /// End-to-end: a t(X) %*% X script goes through the executor's transpose
